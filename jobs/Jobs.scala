@@ -12,15 +12,4 @@ object Jobs {
       .config("spark.sql.autoBroadcastJoinThreshold", -1)
       .config("spark.ui.enabled", "false")
       .getOrCreate()
-
-  def timed[A](f: => A): (A, Double) = {
-    val t0 = System.nanoTime()
-    val a = f
-    (a, (System.nanoTime() - t0) / 1e9)
-  }
-
-  def fmtTime(s: Double): String = {
-    val m = (s / 60).toInt
-    f"${m}m${s - m * 60}%04.1fs"
-  }
 }

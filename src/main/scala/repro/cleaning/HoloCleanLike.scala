@@ -25,14 +25,19 @@ import repro.core._
   *    modal value, which is what a constraint-only factor graph converges to
   *    without co-occurrence signals. This reproduces HoloClean's ~30% recall
   *    on new-location NYC borough errors (≈ the modal borough's share).
+  *
+  * The fallback finds its cells in the base run's persisted candidate frame
+  * alone: the null cells without a candidate. Every null cell is flagged,
+  * and the corrector repairs exactly the flagged cells that have a
+  * candidate, so none of these cells has a repair yet.
   */
 object HoloCleanLike {
 
   def clean(points: DataFrame, candGen: CandGenParams = CandGenParams()): SparcleResult = {
     val base = Sparcle.clean(points, SparcleParams(ExactLocation, candGen))
 
-    // Modal-value fallback for detected cells that produced no repair and no
-    // candidates (isolated missing values).
+    // Modal-value fallback for null cells without candidates (isolated
+    // missing values).
     val modalRow = points.where(col("value").isNotNull)
       .groupBy("value").agg(count(lit(1)).as("cnt"))
       .orderBy(col("cnt").desc, col("value").asc)
@@ -41,7 +46,6 @@ object HoloCleanLike {
     val modal = modalRow.head.getString(0)
 
     val unhandledNulls = points.where(col("value").isNull).select("id")
-      .join(base.repairs.select("id"), Seq("id"), "left_anti")
       .join(base.candidates.select("id").distinct(), Seq("id"), "left_anti")
     val fallback = unhandledNulls.select(
       col("id"), lit(null).cast("string").as("oldValue"), lit(modal).as("newValue"))

@@ -22,45 +22,22 @@ import org.apache.spark.sql.functions._
   */
 object SpatialInputFormulator {
 
-  /** Total neighbor weight per cell: Σ w over DistanceMatrix rows of r1 with
-    * a non-null neighbor value. Columns: `id`, `totalW`.
-    */
-  def totalWeights(dm: DataFrame): DataFrame =
-    dm.where(col("v2").isNotNull)
-      .groupBy(col("r1").as("id"))
-      .agg(sum("w").as("totalW"))
-
-  private def withTotal(candidates: DataFrame, dm: DataFrame): DataFrame =
-    candidates.join(totalWeights(dm), Seq("id"), "left")
-      .withColumn("totalW", coalesce(col("totalW"), lit(0.0)))
-
-  /** Violation-based feature vectors for AimNet (§5.1, Fig. 4a).
-    * Columns: candidates ++ (`totalW`, `viol`).
-    */
-  def violationVectors(candidates: DataFrame, dm: DataFrame): DataFrame =
-    withTotal(candidates, dm).withColumn("viol", col("totalW") - col("nearW"))
-
-  /** Probability-based feature vectors for Baran (§5.2, Fig. 4b).
-    * Candidates with no proximity co-occurrence get probability 0.
-    * Columns: candidates ++ (`totalW`, `p`).
-    */
-  def probabilityVectors(candidates: DataFrame, dm: DataFrame): DataFrame =
-    withTotal(candidates, dm).withColumn("p",
-      when(col("totalW") > 0, col("nearW") / col("totalW")).otherwise(lit(0.0)))
-
-  /** Weighted factor-graph sums for HoloClean/MLNClean (§5.3, Fig. 4c).
-    * Columns: candidates ++ (`totalW`, `fg`).
-    */
-  def factorGraph(candidates: DataFrame, dm: DataFrame): DataFrame =
-    withTotal(candidates, dm).withColumn("fg", lit(2.0) * col("nearW") - col("totalW"))
-
-  /** All three host formats in one pass (shares the totalW join).
+  /** All three host formats in one pass: AimNet violation vectors (§5.1,
+    * Fig. 4a), Baran probability vectors (§5.2, Fig. 4b; candidates with no
+    * proximity co-occurrence get p = 0) and HoloClean/MLNClean factor-graph
+    * sums (§5.3, Fig. 4c). `totalW` sums w over the DistanceMatrix rows of
+    * the cell with a non-null neighbor value (0 without neighbors).
     * Columns: candidates ++ (`totalW`, `viol`, `p`, `fg`).
     */
-  def allFormats(candidates: DataFrame, dm: DataFrame): DataFrame =
-    withTotal(candidates, dm)
+  def allFormats(candidates: DataFrame, dm: DataFrame): DataFrame = {
+    val totalW = dm.where(col("v2").isNotNull)
+      .groupBy(col("r1").as("id"))
+      .agg(sum("w").as("totalW"))
+    candidates.join(totalW, Seq("id"), "left")
+      .withColumn("totalW", coalesce(col("totalW"), lit(0.0)))
       .withColumn("viol", col("totalW") - col("nearW"))
       .withColumn("p",
         when(col("totalW") > 0, col("nearW") / col("totalW")).otherwise(lit(0.0)))
       .withColumn("fg", lit(2.0) * col("nearW") - col("totalW"))
+  }
 }

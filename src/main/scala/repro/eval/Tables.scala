@@ -134,32 +134,36 @@ object Tables {
   final case class Table6Row(dataset: String, sparcleSec: Double, holoSec: Double,
                              baran: Either[String, Double])
 
-  def timeSystems(ds: SpatialDataset, d: Double): Table6Row = {
-    def timed(f: => Unit): Double = {
-      val t0 = System.nanoTime(); f; (System.nanoTime() - t0) / 1e9
-    }
-    val sparcleT = timed {
-      ds.attrs.foreach(a => Runner.sparcleRepairs(ds, a, d, n = 2).count())
-    }
-    val holoT = timed {
-      ds.attrs.foreach(a => Runner.holoRepairs(ds, a).count())
-    }
-    val baranT: Either[String, Double] = {
-      val t0 = System.nanoTime()
-      val failures = ds.attrs.map(a => Runner.baranRepairs(ds, a).map(_.count()))
-        .collectFirst { case Left(m) => m }
-      failures.toLeft((System.nanoTime() - t0) / 1e9)
-    }
-    Table6Row(ds.name, sparcleT, holoT, baranT)
+  /** Runs `f` and returns its result with the wall time in seconds. */
+  def timed[A](f: => A): (A, Double) = {
+    val t0 = System.nanoTime()
+    val a = f
+    (a, (System.nanoTime() - t0) / 1e9)
   }
 
-  def renderTable6(rows: Seq[Table6Row]): String = {
-    def fmt(s: Double): String = {
-      val m = (s / 60).toInt
-      f"${m}m${s - m * 60}%04.1fs"
+  /** Seconds as `<minutes>m<seconds>s`, e.g. `1m05.3s`. */
+  def fmtTime(s: Double): String = {
+    val m = (s / 60).toInt
+    f"${m}m${s - m * 60}%04.1fs"
+  }
+
+  def timeSystems(ds: SpatialDataset, d: Double): Table6Row = {
+    val (_, sparcleT) = timed {
+      ds.attrs.foreach(a => Runner.sparcleRepairs(ds, a, d, n = 2).count())
     }
+    val (_, holoT) = timed {
+      ds.attrs.foreach(a => Runner.holoRepairs(ds, a).count())
+    }
+    val (failure, baranT) = timed {
+      ds.attrs.map(a => Runner.baranRepairs(ds, a).map(_.count()))
+        .collectFirst { case Left(m) => m }
+    }
+    Table6Row(ds.name, sparcleT, holoT, failure.toLeft(baranT))
+  }
+
+  def renderTable6(rows: Seq[Table6Row]): String =
     TableFmt.render(
       Seq("Dataset", "Sparcle", "HoloClean", "Baran"),
-      rows.map(r => Seq(r.dataset, fmt(r.sparcleSec), fmt(r.holoSec), r.baran.fold(identity, fmt))))
-  }
+      rows.map(r => Seq(r.dataset, fmtTime(r.sparcleSec), fmtTime(r.holoSec),
+                        r.baran.fold(identity, fmtTime))))
 }

@@ -23,29 +23,7 @@ object RangeJoin {
     * `d`. Null-valued records participate on both sides (the error detector
     * and candidate generator decide how to treat null values).
     */
-  def pairs(points: DataFrame, d: Double): DataFrame = {
-    require(d > 0, s"range distance must be positive, got $d")
-    val probe = points.select(
-      col("id").as("r1"), col("x").as("x1"), col("y").as("y1"), col("value").as("v1"),
-      floor(col("x") / d).cast("long").as("cx"),
-      floor(col("y") / d).cast("long").as("cy"),
-    )
-    val build = points.select(
-      col("id").as("r2"), col("x").as("x2"), col("y").as("y2"), col("value").as("v2"),
-      floor(col("x") / d).cast("long").as("bx"),
-      floor(col("y") / d).cast("long").as("by"),
-    )
-      .withColumn("dx", explode(array(lit(-1), lit(0), lit(1))))
-      .withColumn("dy", explode(array(lit(-1), lit(0), lit(1))))
-      .select(col("r2"), col("x2"), col("y2"), col("v2"),
-              (col("bx") + col("dx")).as("cx"), (col("by") + col("dy")).as("cy"))
-
-    probe.join(build, Seq("cx", "cy"))
-      .where(col("r1") =!= col("r2"))
-      .withColumn("dist", sqrt(pow(col("x1") - col("x2"), 2) + pow(col("y1") - col("y2"), 2)))
-      .where(col("dist") < d)
-      .select("r1", "r2", "v1", "v2", "dist")
-  }
+  def pairs(points: DataFrame, d: Double): DataFrame = pairsAsym(points, points, d)
 
   /** Asymmetric variant: pairs (r1 from `probe`, r2 from `build`) within
     * strict distance `d`, excluding identical ids. Used by the iterative kNN

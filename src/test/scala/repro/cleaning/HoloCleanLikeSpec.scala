@@ -46,6 +46,29 @@ class HoloCleanLikeSpec extends SparkSpec {
     assert(repairs.get(5L).contains("rare"))
   }
 
+  test("every null cell is repaired once: co-located evidence or else the modal value") {
+    // A 10 m lattice makes many records share exact coordinates.
+    val raw = TestPoints.random(300, 100, 3, seed = 74, nullEvery = 4)
+      .map { case (id, x, y, v) => (id, math.floor(x / 10) * 10, math.floor(y / 10) * 10, v) }
+    val repairs = HoloCleanLike.clean(TestPoints.df(spark, raw)).repairs
+      .select("id", "newValue").as[(Long, String)].collect()
+    val times = repairs.groupBy(_._1).map { case (id, rs) => id -> rs.length }
+    raw.filter(_._4 == null).foreach { case (id, _, _, _) =>
+      assert(times.get(id).contains(1), s"null cell $id repaired ${times.getOrElse(id, 0)} times")
+    }
+    assert(times.values.forall(_ == 1), "some cell is repaired twice")
+
+    val modal = raw.flatMap(p => Option(p._4)).groupBy(identity).toSeq
+      .map { case (v, vs) => (-vs.size, v) }.min._2
+    val atLocation = raw.groupBy(p => (p._2, p._3))
+    val isolated = raw.collect {
+      case (id, x, y, null) if atLocation((x, y)).forall(_._4 == null) => id
+    }
+    assert(isolated.nonEmpty)
+    val newValue = repairs.toMap
+    isolated.foreach(id => assert(newValue(id) == modal, s"isolated null cell $id"))
+  }
+
   test("a fully-null column yields no repairs instead of crashing") {
     val pts = TestPoints.df(spark, Seq(
       (1L, 0.0, 0.0, null: String), (2L, 10.0, 0.0, null: String)))

@@ -30,7 +30,7 @@ class SpatialInputFormulatorSpec extends SparkSpec {
 
   test("probability vectors are a distribution over nearby-co-occurring candidates") {
     val (_, dm, cand) = pipeline(TestPoints.random(150, 250, 4, seed = 52), d = 60)
-    val p = SpatialInputFormulator.probabilityVectors(cand.candidates, dm)
+    val p = SpatialInputFormulator.allFormats(cand.candidates, dm).select("id", "value", "p")
     val sums = p.groupBy("id").agg(sum("p").as("s")).select("s").as[Double].collect()
     sums.foreach(s => assert(math.abs(s - 1.0) < 1e-9 || s == 0.0))
     assert(p.where($"p" < 0 || $"p" > 1).count() == 0)
@@ -39,8 +39,8 @@ class SpatialInputFormulatorSpec extends SparkSpec {
   test("candidates with no proximity co-occurrence get p = 0") {
     val pts = Seq((1L, 0.0, 0.0, "a"), (2L, 1.0, 0.0, "b"))
     val (_, dm, cand) = pipeline(pts, d = 10)
-    val p = SpatialInputFormulator.probabilityVectors(cand.candidates, dm)
-      .where($"id" === 1L).collect()
+    val p = SpatialInputFormulator.allFormats(cand.candidates, dm)
+      .where($"id" === 1L).select("value", "p").collect()
       .map(r => r.getAs[String]("value") -> r.getAs[Double]("p")).toMap
     assert(p("a") == 0.0) // own value, absent among neighbors
     assert(p("b") == 1.0)
@@ -49,7 +49,7 @@ class SpatialInputFormulatorSpec extends SparkSpec {
   test("violation scores match a DuckDB formulation") {
     val raw = TestPoints.random(80, 150, 3, seed = 53)
     val (df, dm, cand) = pipeline(raw, d = 45)
-    val sparkViol = SpatialInputFormulator.violationVectors(cand.candidates, dm)
+    val sparkViol = SpatialInputFormulator.allFormats(cand.candidates, dm)
       .select($"id", $"value", round($"viol", 4).as("viol4"))
     // viol(id, v) = Σ w over dm rows of id with v2 ≠ v (v2 non-null).
     val sql =
